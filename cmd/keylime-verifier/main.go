@@ -7,12 +7,12 @@
 //	keylime-verifier -listen :8893 -registrar http://localhost:8891 \
 //	  -poll-interval 10s [-continue-on-failure]
 //
-// Verification state survives restarts via -state. The default mode keeps
-// a crash-safe journal+snapshot directory and persists only the agents
-// each sweep actually changed; -state-mode snapshot keeps the legacy
-// single-JSON-file format (written atomically). The audit log (-audit-log)
-// is an fsynced journal appended record by record, and -outbox journals
-// revocation notifications for at-least-once delivery across crashes.
+// Verification state survives restarts via -state, a crash-safe journal
+// directory: each sweep commits only the agent rows it changed, as one
+// batch under one fsync, and a row that fails to persist is retried next
+// sweep. The audit log (-audit-log) likewise commits each sweep's records
+// as one batch, and -outbox journals revocation notifications for
+// at-least-once delivery across crashes.
 //
 // With -keyring the verifier seals its whole evidence chain of custody
 // under DSSE signatures: per-sweep checkpoints in the audit journal,
@@ -50,7 +50,7 @@ import (
 	"os/signal"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -63,6 +63,14 @@ import (
 	"repro/internal/keylime/verifier"
 	"repro/internal/keylime/webhook"
 	"repro/internal/simclock"
+)
+
+// Group commit: the most journal records one fsync covers, and the
+// longest a group-committed audit/outbox append waits for batch
+// co-travellers before its fsync is issued anyway.
+const (
+	persistBatch    = 256
+	persistMaxDelay = 2 * time.Millisecond
 )
 
 func main() {
@@ -79,19 +87,9 @@ func run() error {
 		pollInterval = flag.Duration("poll-interval", 10*time.Second, "attestation polling interval")
 		continueOn   = flag.Bool("continue-on-failure", false,
 			"keep polling after attestation failures (the paper's P2 mitigation)")
-		statePath = flag.String("state", "", "persist/restore verification state here "+
-			"(a journal directory by default; a JSON file with -state-mode snapshot)")
-		stateMode = flag.String("state-mode", "journal",
-			"state persistence mode: journal (incremental, crash-safe) or snapshot (legacy full-file)")
+		statePath    = flag.String("state", "", "persist/restore verification state in this journal directory")
 		stateLenient = flag.Bool("state-lenient", false,
 			"skip-and-report corrupt state rows on restore instead of refusing to start")
-		persistBatch = flag.Int("persist-batch", 256,
-			"max journal records committed per fsync: the sweep's dirty agent rows and "+
-				"audit records are batched into single write vectors and the audit/outbox "+
-				"journals group-commit concurrent appends (0 restores per-record fsyncs)")
-		persistMaxDelay = flag.Duration("persist-max-delay", 2*time.Millisecond,
-			"longest a group-committed audit/outbox append waits for batch "+
-				"co-travellers before its fsync is issued anyway")
 		keyringPath = flag.String("keyring", "", "journaled DSSE keyring path; arms chain-of-custody "+
 			"sealing end to end: audit checkpoints, revocation notifications, rollout policy "+
 			"bundles, and cluster replication frames (created with an initial key if absent)")
@@ -174,9 +172,6 @@ func run() error {
 			"coordinator heartbeat cadence; a peer silent for 4 heartbeats is failed over")
 	)
 	flag.Parse()
-	if *stateMode != "journal" && *stateMode != "snapshot" {
-		return fmt.Errorf("unknown -state-mode %q (want journal or snapshot)", *stateMode)
-	}
 	if *outboxPath != "" && *webhookURL == "" {
 		return fmt.Errorf("-outbox requires -webhook")
 	}
@@ -203,8 +198,8 @@ func run() error {
 		if _, ok := peerAddrs[*nodeID]; !ok {
 			return fmt.Errorf("-node-id %q not listed in -peers", *nodeID)
 		}
-		if *statePath == "" || *stateMode != "journal" {
-			return fmt.Errorf("cluster mode requires -state with -state-mode journal " +
+		if *statePath == "" {
+			return fmt.Errorf("cluster mode requires -state " +
 				"(the journal is what gets replicated to standbys)")
 		}
 	}
@@ -242,11 +237,7 @@ func run() error {
 	// number an operator needs to confirm group commit is actually
 	// holding a sweep to a handful of fsyncs.
 	iofs := store.NewCountingFS(store.OS())
-	groupCommit := *persistBatch > 0
-	var jopts []store.JournalOption
-	if groupCommit {
-		jopts = append(jopts, store.WithGroupCommit(*persistMaxDelay, *persistBatch))
-	}
+	jopts := []store.JournalOption{store.WithGroupCommit(persistMaxDelay, persistBatch)}
 
 	// Chain of custody: one journaled keyring signs every evidence hop —
 	// audit checkpoints, outbox revocations, rollout bundles, replication
@@ -274,9 +265,9 @@ func run() error {
 
 	// Audit: every sealed record is journaled and fsynced before the
 	// verifier acknowledges it — the durable chain always ends at the
-	// last recorded verdict. With -persist-batch the whole sweep commits
-	// as one write vector under a single fsync (batch granularity, same
-	// commit-before-ack ordering).
+	// last recorded verdict. The whole sweep commits as one write vector
+	// under a single fsync (batch granularity, same commit-before-ack
+	// ordering).
 	if *auditPath != "" {
 		jl, err := audit.OpenJournal(iofs, *auditPath, jopts...)
 		if err != nil {
@@ -291,7 +282,7 @@ func run() error {
 			// head; verify-chain walks them offline.
 			jl.SealCheckpoints(keyring)
 		}
-		opts = append(opts, verifier.WithAuditLog(jl.Log), verifier.WithAuditBatch(groupCommit))
+		opts = append(opts, verifier.WithAuditLog(jl.Log), verifier.WithAuditBatch(true))
 	}
 
 	var notifier *webhook.Notifier
@@ -336,158 +327,32 @@ func run() error {
 		fmt.Printf("pprof listening on %s\n", *pprofAddr)
 	}
 
-	// persist is invoked after every sweep and reports how many rows it
-	// made durable; it must not swallow errors — a verifier that silently
-	// stops persisting re-trusts from scratch after its next crash. In
-	// cluster mode the node journals agent rows itself (under the
-	// replicated a/ prefix), so persist stays a no-op.
-	persist := func() int { return 0 }
-	// pm backs the "persist" stats provider: the persist-error counter
-	// that used to live only in the process log, plus per-sweep persist
-	// latency and the fsync counts that prove group commit is working.
-	var pm struct {
-		sync.Mutex
-		sweeps    int
-		errs      int
-		lastRows  int
-		lastDur   time.Duration
-		lastSyncs uint64
-	}
-	logPersistErr := func(err error) {
-		pm.Lock()
-		pm.errs++
-		n := pm.errs
-		pm.Unlock()
-		log.Printf("state persist error (%d total): %v", n, err)
-	}
-
+	// State: one journaled row per agent. Each sweep flushes only the rows
+	// it changed, as one batch; a row that fails to persist stays dirty and
+	// is retried next sweep — a verifier that silently stops persisting
+	// re-trusts from scratch after its next crash. In cluster mode the node
+	// restores and flushes its shard itself, under the replicated a/ prefix.
 	var st *store.Store
-	switch {
-	case *statePath == "":
-	case *stateMode == "journal":
+	var persister *verifier.Persister
+	if *statePath != "" {
 		var err error
 		st, err = store.Open(*statePath, store.WithStoreFS(iofs))
 		if err != nil {
 			return fmt.Errorf("opening state store %s: %w", *statePath, err)
 		}
 		defer func() { _ = st.Close() }()
-		if clusterMode {
-			break // cluster.NewNode restores and persists the agent rows
-		}
-		// Rows that failed to persist are retried next sweep.
-		if err := restoreFromStore(v, st, *stateLenient); err != nil {
-			return err
-		}
-		retryPut := map[string][]byte{}
-		retryDel := map[string]bool{}
-		persist = func() int {
-			changed, removed, err := v.ExportDirty()
+		if !clusterMode {
+			persister = verifier.NewPersister(v, st, "")
+			skipped, err := persister.Restore(*stateLenient)
 			if err != nil {
-				// ExportDirty re-marked the drained IDs; next sweep retries.
-				logPersistErr(err)
-				return 0
+				return fmt.Errorf("restoring state: %w", err)
 			}
-			for _, as := range changed {
-				data, err := json.Marshal(as)
-				if err != nil {
-					logPersistErr(fmt.Errorf("encoding agent %s: %w", as.AgentID, err))
-					continue
-				}
-				retryPut[as.AgentID] = data
-				delete(retryDel, as.AgentID)
+			for _, re := range skipped {
+				log.Printf("state restore: skipped corrupt row: %v", re)
 			}
-			for _, id := range removed {
-				retryDel[id] = true
-				delete(retryPut, id)
-			}
-			if groupCommit {
-				// The whole sweep's dirty rows in one journal write vector,
-				// one fsync. Per-agent rows replay independently, so a torn
-				// write recovering a prefix just means a smaller sweep; the
-				// rest stays in the retry maps for the next one.
-				batch := make([]store.KV, 0, len(retryPut)+len(retryDel))
-				for id, data := range retryPut {
-					batch = append(batch, store.KV{Key: id, Value: data})
-				}
-				for id := range retryDel {
-					batch = append(batch, store.KV{Key: id, Delete: true})
-				}
-				if len(batch) == 0 {
-					return 0
-				}
-				if err := st.PutBatch(batch); err != nil {
-					logPersistErr(fmt.Errorf("journaling %d agent rows: %w", len(batch), err))
-					return 0
-				}
-				clear(retryPut)
-				clear(retryDel)
-				return len(batch)
-			}
-			rows := 0
-			for id, data := range retryPut {
-				if err := st.Put(id, data); err != nil {
-					logPersistErr(fmt.Errorf("journaling agent %s: %w", id, err))
-					continue
-				}
-				delete(retryPut, id)
-				rows++
-			}
-			for id := range retryDel {
-				if err := st.Delete(id); err != nil {
-					logPersistErr(fmt.Errorf("journaling removal of %s: %w", id, err))
-					continue
-				}
-				delete(retryDel, id)
-				rows++
-			}
-			return rows
+			fmt.Printf("restored %d agents from journal (%d rows skipped)\n",
+				v.AgentCount(), len(skipped))
 		}
-	default: // legacy full-snapshot file, now written atomically
-		if data, err := os.ReadFile(*statePath); err == nil {
-			var snap verifier.Snapshot
-			if err := json.Unmarshal(data, &snap); err != nil {
-				return fmt.Errorf("parsing state %s: %w", *statePath, err)
-			}
-			if err := restoreSnapshot(v, snap, *stateLenient); err != nil {
-				return err
-			}
-			fmt.Printf("restored %d agents from %s\n", len(snap.Agents), *statePath)
-		} else if !os.IsNotExist(err) {
-			return fmt.Errorf("reading state %s: %w", *statePath, err)
-		}
-		persist = func() int {
-			snap, err := v.ExportState()
-			if err != nil {
-				logPersistErr(err)
-				return 0
-			}
-			data, err := json.Marshal(snap)
-			if err != nil {
-				logPersistErr(err)
-				return 0
-			}
-			if err := store.WriteFileAtomic(iofs, *statePath, data); err != nil {
-				logPersistErr(fmt.Errorf("writing %s: %w", *statePath, err))
-				return 0
-			}
-			return len(snap.Agents)
-		}
-	}
-
-	// persistSweep wraps persist with latency and fsync accounting for
-	// the "persist" stats provider.
-	persistSweep := func() {
-		start := time.Now()
-		syncs0 := iofs.Counters().Syncs
-		rows := persist()
-		dur := time.Since(start)
-		syncs := iofs.Counters().Syncs - syncs0
-		pm.Lock()
-		pm.sweeps++
-		pm.lastRows = rows
-		pm.lastDur = dur
-		pm.lastSyncs = syncs
-		pm.Unlock()
 	}
 
 	// Cluster membership: the node restores its shard from the journal,
@@ -520,6 +385,7 @@ func run() error {
 			return err
 		}
 		defer node.Close()
+		persister = node.Persister()
 		fmt.Printf("cluster node %s: %d peers, %d replica(s) per shard\n",
 			*nodeID, len(ids), *replicas)
 	}
@@ -549,7 +415,7 @@ func run() error {
 		rolloutCfg.Generations = node
 	}
 	if *rolloutState != "" {
-		rst, err := store.Open(*rolloutState)
+		rst, err := store.Open(*rolloutState, store.WithStoreFS(iofs))
 		if err != nil {
 			return fmt.Errorf("opening rollout store %s: %w", *rolloutState, err)
 		}
@@ -629,24 +495,26 @@ func run() error {
 		v.RegisterStats("outbox", func() any { return outbox.Stats() })
 	}
 	// GET /v2/stats/persist: the persist-error counter plus per-sweep
-	// persist latency and fsync counts. A healthy group-commit setup
-	// shows last_sweep_fsyncs pinned at a handful no matter how many
-	// rows the sweep persisted; a climbing errors counter means the
-	// verifier will re-trust from scratch after its next crash.
+	// persist latency and fsync counts. A healthy setup shows
+	// last_sweep_fsyncs pinned at a handful no matter how many rows the
+	// sweep persisted; a climbing errors counter means rows are waiting on
+	// retry, and the verifier re-trusts them from scratch if it crashes
+	// first.
+	var lastSyncs atomic.Uint64
 	v.RegisterStats("persist", func() any {
+		var ps verifier.PersistStats
+		if persister != nil {
+			ps = persister.Stats()
+		}
 		c := iofs.Counters()
-		pm.Lock()
-		defer pm.Unlock()
 		return map[string]any{
-			"sweeps":              pm.sweeps,
-			"errors":              pm.errs,
-			"last_sweep_rows":     pm.lastRows,
-			"last_sweep_ms":       float64(pm.lastDur.Microseconds()) / 1000,
-			"last_sweep_fsyncs":   pm.lastSyncs,
+			"sweeps":              ps.Flushes,
+			"errors":              ps.Errors,
+			"last_sweep_rows":     ps.LastRows,
+			"last_sweep_ms":       float64(ps.LastDur.Microseconds()) / 1000,
+			"last_sweep_fsyncs":   lastSyncs.Load(),
 			"total_fsyncs":        c.Syncs,
 			"total_journal_bytes": c.WriteBytes,
-			"group_commit":        groupCommit,
-			"persist_batch":       *persistBatch,
 		}
 	})
 
@@ -687,17 +555,23 @@ func run() error {
 			// The sweep itself runs on the background context so a SIGTERM
 			// arriving mid-sweep lets in-flight rounds finish (bounded by
 			// the per-request timeout) instead of surfacing as comms faults.
+			syncs0 := iofs.Counters().Syncs
 			var stats verifier.PollStats
 			if node != nil {
 				stats = node.Sweep(context.Background())
 			} else {
 				stats = v.PollAll(context.Background())
+				if persister != nil {
+					if _, err := persister.Flush(); err != nil {
+						log.Printf("state persist error (%d total): %v", persister.Stats().Errors, err)
+					}
+				}
 			}
+			lastSyncs.Store(iofs.Counters().Syncs - syncs0)
 			if stats.Failed > 0 || stats.Degraded > 0 || stats.Halted > 0 || stats.Quarantined > 0 {
 				log.Printf("poll sweep: attested=%d failed=%d degraded=%d halted=%d quarantined=%d",
 					stats.Attested, stats.Failed, stats.Degraded, stats.Halted, stats.Quarantined)
 			}
-			persistSweep()
 			// Advance any in-flight rollout on the counters this sweep
 			// accumulated.
 			if st, err := ctl.Tick(); err != nil {
@@ -777,51 +651,4 @@ func parsePeers(s string) (map[string]string, error) {
 		return nil, fmt.Errorf("-peers is empty")
 	}
 	return out, nil
-}
-
-// restoreFromStore rebuilds the verifier's agent table from the journal
-// store's rows.
-func restoreFromStore(v *verifier.Verifier, st *store.Store, lenient bool) error {
-	rows := st.All()
-	if len(rows) == 0 {
-		return nil
-	}
-	var snap verifier.Snapshot
-	var badRows int
-	for id, data := range rows {
-		var as verifier.AgentState
-		if err := json.Unmarshal(data, &as); err != nil {
-			if !lenient {
-				return fmt.Errorf("parsing state row %s: %w", id, err)
-			}
-			badRows++
-			log.Printf("state restore: skipping undecodable row %s: %v", id, err)
-			continue
-		}
-		snap.Agents = append(snap.Agents, as)
-	}
-	if err := restoreSnapshot(v, snap, lenient); err != nil {
-		return err
-	}
-	fmt.Printf("restored %d agents from journal (%d rows skipped)\n",
-		v.AgentCount(), badRows)
-	return nil
-}
-
-// restoreSnapshot loads a snapshot strictly or leniently per the flag.
-func restoreSnapshot(v *verifier.Verifier, snap verifier.Snapshot, lenient bool) error {
-	if !lenient {
-		if err := v.RestoreState(snap); err != nil {
-			return fmt.Errorf("restoring state: %w", err)
-		}
-		return nil
-	}
-	skipped, err := v.RestoreStateLenient(snap)
-	if err != nil {
-		return fmt.Errorf("restoring state: %w", err)
-	}
-	for _, s := range skipped {
-		log.Printf("state restore: skipped corrupt row: %v", s)
-	}
-	return nil
 }

@@ -1,18 +1,14 @@
 package repro_test
 
 // Durable fleet-sweep benchmark: the fleet benchmarks above measure the
-// attestation control plane with persistence disabled, so the real cost
-// of a durable sweep — journaling every dirty agent row and audit record
-// with per-record fsyncs — was never on the scoreboard. This benchmark
-// runs PollAll with the state store AND the audit journal enabled, in
-// three persistence modes:
+// attestation control plane with persistence disabled. This benchmark
+// runs PollAll with the state store AND the audit journal enabled, and
+// persists each sweep through verifier.Persister — the same flush the
+// verifier binary and cluster nodes run — in two modes:
 //
 //   off           no store, no audit journal — the pure attestation
-//                 sweep. Subtracting this from the durable modes gives
-//                 the persistence cost of a sweep, which is what the
-//                 before/after comparison in BENCH_pr8.json reports.
-//   per-record    every row and audit record costs its own fsync (the
-//                 pre-group-commit behavior)
+//                 sweep. Subtracting this from the durable mode gives
+//                 the persistence cost of a sweep.
 //   group-commit  the sweep's rows land in one Store.PutBatch and its
 //                 audit records in one Log.AppendBatch — a constant
 //                 number of fsyncs per sweep regardless of fleet size
@@ -23,7 +19,6 @@ package repro_test
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -34,15 +29,13 @@ import (
 )
 
 // durableHarness wires a verifier to a journaled state store and audit
-// journal over a CountingFS, mirroring cmd/keylime-verifier's persist
-// path in both modes.
+// journal over a CountingFS, persisting through the shared Persister.
 type durableHarness struct {
-	v       *verifier.Verifier
-	st      *store.Store
-	jl      *audit.JournalLog
-	iofs    *store.CountingFS
-	group   bool
-	persist func() error
+	v    *verifier.Verifier
+	st   *store.Store
+	jl   *audit.JournalLog
+	iofs *store.CountingFS
+	p    *verifier.Persister // nil in mode off
 	// persistNs accumulates time spent in the state-persist phase alone,
 	// separating the durability cost from the attestation compute that
 	// dominates the sweep.
@@ -51,8 +44,7 @@ type durableHarness struct {
 
 func newDurableHarness(tb testing.TB, fleet int, mode string) *durableHarness {
 	tb.Helper()
-	durable := mode != "off"
-	group := mode == "group-commit"
+	durable := mode == "group-commit"
 	akPub, pol, client := fleetFixture(tb)
 	iofs := store.NewCountingFS(store.OS())
 
@@ -71,17 +63,14 @@ func newDurableHarness(tb testing.TB, fleet int, mode string) *durableHarness {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		var jopts []store.JournalOption
-		if group {
-			jopts = append(jopts, store.WithGroupCommit(2*time.Millisecond, 1024))
-		}
-		jl, err = audit.OpenJournal(iofs, tb.TempDir()+"/audit.wal", jopts...)
+		jl, err = audit.OpenJournal(iofs, tb.TempDir()+"/audit.wal",
+			store.WithGroupCommit(2*time.Millisecond, 1024))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		vopts = append(vopts,
 			verifier.WithAuditLog(jl.Log),
-			verifier.WithAuditBatch(group),
+			verifier.WithAuditBatch(true),
 		)
 	}
 	v := verifier.New("", vopts...)
@@ -91,44 +80,9 @@ func newDurableHarness(tb testing.TB, fleet int, mode string) *durableHarness {
 			tb.Fatalf("AddAgentWithAK: %v", err)
 		}
 	}
-	h := &durableHarness{v: v, st: st, jl: jl, iofs: iofs, group: group}
-	h.persist = func() error {
-		if !durable {
-			return nil
-		}
-		changed, removed, err := v.ExportDirty()
-		if err != nil {
-			return err
-		}
-		if group {
-			batch := make([]store.KV, 0, len(changed)+len(removed))
-			for _, as := range changed {
-				data, err := json.Marshal(as)
-				if err != nil {
-					return err
-				}
-				batch = append(batch, store.KV{Key: as.AgentID, Value: data})
-			}
-			for _, id := range removed {
-				batch = append(batch, store.KV{Key: id, Delete: true})
-			}
-			return st.PutBatch(batch)
-		}
-		for _, as := range changed {
-			data, err := json.Marshal(as)
-			if err != nil {
-				return err
-			}
-			if err := st.Put(as.AgentID, data); err != nil {
-				return err
-			}
-		}
-		for _, id := range removed {
-			if err := st.Delete(id); err != nil {
-				return err
-			}
-		}
-		return nil
+	h := &durableHarness{v: v, st: st, jl: jl, iofs: iofs}
+	if durable {
+		h.p = verifier.NewPersister(v, st, "")
 	}
 	return h
 }
@@ -149,8 +103,11 @@ func (h *durableHarness) sweep(tb testing.TB, ctx context.Context, fleet int) ve
 	if st.Attested != fleet || st.Failed != 0 || st.AuditFlushErrs != 0 {
 		tb.Fatalf("sweep = %+v", st)
 	}
+	if h.p == nil {
+		return st
+	}
 	start := time.Now()
-	if err := h.persist(); err != nil {
+	if _, err := h.p.Flush(); err != nil {
 		tb.Fatalf("persist: %v", err)
 	}
 	h.persistNs += time.Since(start)
@@ -159,7 +116,7 @@ func (h *durableHarness) sweep(tb testing.TB, ctx context.Context, fleet int) ve
 
 func BenchmarkPollAllFleetDurable(b *testing.B) {
 	for _, fleet := range []int{100, 1000, 10000} {
-		for _, mode := range []string{"off", "per-record", "group-commit"} {
+		for _, mode := range []string{"off", "group-commit"} {
 			b.Run(fmt.Sprintf("agents=%d/mode=%s", fleet, mode), func(b *testing.B) {
 				h := newDurableHarness(b, fleet, mode)
 				defer h.close()

@@ -9,12 +9,15 @@ package cluster
 // every attestation round still does real nonce/quote/ECDSA/IMA work.
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,6 +73,7 @@ type harness struct {
 	lease    time.Duration
 	nodes    map[string]*testNode // live nodes
 	dirs     map[string]string
+	fsys     map[string]store.FS // per-node store filesystem (default: OS)
 }
 
 func newHarness(t *testing.T, replicas int, ids ...string) *harness {
@@ -124,7 +128,11 @@ func newHarness(t *testing.T, replicas int, ids ...string) *harness {
 // startNode boots (or reboots) a node from its durable store directory.
 func (h *harness) startNode(id string) *testNode {
 	h.t.Helper()
-	st, err := store.Open(h.dirs[id])
+	var opts []store.StoreOption
+	if fsys := h.fsys[id]; fsys != nil {
+		opts = append(opts, store.WithStoreFS(fsys))
+	}
+	st, err := store.Open(h.dirs[id], opts...)
 	if err != nil {
 		h.t.Fatalf("store.Open(%s): %v", id, err)
 	}
@@ -455,6 +463,73 @@ func TestClusterRejoinGetsShardBack(t *testing.T) {
 	}
 	if st := h.sweepAll(); st.Attested != 30 || st.Failed != 0 {
 		t.Fatalf("sweep after rejoin = %+v", st)
+	}
+}
+
+// TestClusterSweepRetriesFailedPersist: when a sweep's agent-row flush
+// fails, the rows it drained stay dirty, so the next sweep makes them
+// durable even though no agent changes in it. Otherwise they stay
+// missing from the store — and from replication — until the agent next
+// changes, and a crash in between resumes from the stale rows.
+func TestClusterSweepRetriesFailedPersist(t *testing.T) {
+	h := newHarness(t, 1, "v1", "v2", "v3")
+	ffs := faultinject.NewFaultFS()
+	h.fsys = map[string]store.FS{"v1": ffs}
+	h.restart("v1")
+	h.converge()
+	h.addAgents(30)
+	if st := h.sweepAll(); st.Attested != 30 || st.Failed != 0 {
+		t.Fatalf("sweep = %+v, want 30 attested", st)
+	}
+	tn := h.nodes["v1"]
+	owned := len(tn.v.AgentIDs())
+	if owned == 0 {
+		t.Fatal("v1 owns no agents")
+	}
+
+	// A violation fails (and halts) every agent in the next sweep, and
+	// the flush that would persist those verdicts fails.
+	if err := h.mach.WriteFile("/usr/bin/rogue", []byte("\x7fELF rogue"), vfs.ModeExecutable); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.mach.Exec("/usr/bin/rogue"); err != nil {
+		t.Fatal(err)
+	}
+	writes := ffs.Counters().Writes
+	ffs.FailWriteN = writes + 1
+	if st := tn.n.Sweep(h.ctx); st.Failed != owned {
+		t.Fatalf("violation sweep = %+v, want %d failed", st, owned)
+	}
+	if ffs.Counters().Writes <= writes {
+		t.Fatal("the sweep's flush never reached the store")
+	}
+	ffs.FailWriteN = 0
+
+	// Every agent is halted now: this sweep changes nothing.
+	if st := tn.n.Sweep(h.ctx); st.Halted != owned || st.Attested != 0 {
+		t.Fatalf("halted sweep = %+v, want %d halted", st, owned)
+	}
+	want, err := tn.v.ExportWhere(func(string) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for k := range tn.st.All() {
+		if strings.HasPrefix(k, agentPrefix) {
+			rows++
+		}
+	}
+	if rows != len(want) {
+		t.Fatalf("store holds %d agent rows, verifier %d", rows, len(want))
+	}
+	for _, as := range want {
+		b, err := json.Marshal(as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := tn.st.Get(agentPrefix + as.AgentID); !bytes.Equal(got, b) {
+			t.Fatalf("agent %s: durable row is stale after the retry sweep", as.AgentID)
+		}
 	}
 }
 

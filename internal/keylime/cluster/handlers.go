@@ -420,18 +420,9 @@ func (n *Node) handleFetchReplica(req Request) Reply {
 	if b, ok := st.Get(replSeqPrefix + body.Src); ok {
 		_ = json.Unmarshal(b, &mark)
 	}
-	prefix := replicaPrefix + body.Src + "/"
-	var rows []verifier.AgentState
-	for k, v := range st.All() {
-		if !strings.HasPrefix(k, prefix) {
-			continue
-		}
-		var row verifier.AgentState
-		if err := json.Unmarshal(v, &row); err != nil {
-			n.logf("cluster %s: replica row %s undecodable: %v", n.cfg.NodeID, k, err)
-			continue
-		}
-		rows = append(rows, row)
+	rows, bad := verifier.LoadRows(st, replicaPrefix+body.Src+"/"+agentPrefix)
+	for _, re := range bad {
+		n.logf("cluster %s: replica row of %s undecodable: %v", n.cfg.NodeID, body.Src, re)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].AgentID < rows[j].AgentID })
 	return okReply(FetchReplicaResp{Epoch: mark.Epoch, Seq: mark.Seq, Rows: rows})

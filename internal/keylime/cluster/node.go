@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -109,6 +108,7 @@ type Node struct {
 	peerAck   map[string]time.Time
 	handoff   bool // coordinator: handoff in flight this process
 	repl      map[string]*replCursor
+	persist   *verifier.Persister
 	// sealRejects counts inbound replication frames rejected for seal
 	// verification failures — each one is tampered or misattributed
 	// evidence that never touched the store.
@@ -188,22 +188,13 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	// Restore this node's agent rows (lenient: a corrupt row skips that
 	// agent, it does not take the shard down).
-	var rows []verifier.AgentState
-	for k, v := range cfg.Store.All() {
-		if !strings.HasPrefix(k, agentPrefix) {
-			continue
-		}
-		var st verifier.AgentState
-		if err := json.Unmarshal(v, &st); err != nil {
-			n.logf("cluster %s: skipping undecodable agent row %s: %v", cfg.NodeID, k, err)
-			continue
-		}
-		rows = append(rows, st)
+	n.persist = verifier.NewPersister(cfg.Verifier, cfg.Store, agentPrefix)
+	skipped, err := n.persist.Restore(true)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: restoring agent rows: %w", err)
 	}
-	if len(rows) > 0 {
-		for _, re := range cfg.Verifier.ImportAgents(rows, true) {
-			n.logf("cluster %s: restore skipped row: %v", cfg.NodeID, re.Error())
-		}
+	for _, re := range skipped {
+		n.logf("cluster %s: restore skipped row: %v", cfg.NodeID, re.Error())
 	}
 	n.refreshOwnershipLocked()
 	n.lastHeard = n.clock.Now() // grace period before first election
@@ -267,25 +258,16 @@ func (n *Node) persistTermLocked() {
 
 // persistAgents flushes dirty verifier rows into the journaled store as
 // one batched append — one fsync per sweep, not one per dirty agent;
-// replication streams them to standbys on the next tick.
+// replication streams them to standbys on the next tick. Rows that fail
+// to persist stay dirty and are retried by the next flush.
 func (n *Node) persistAgents() error {
-	changed, removed, err := n.cfg.Verifier.ExportDirty()
-	if err != nil {
-		return err
-	}
-	batch := make([]store.KV, 0, len(changed)+len(removed))
-	for _, st := range changed {
-		b, err := json.Marshal(st)
-		if err != nil {
-			return err
-		}
-		batch = append(batch, store.KV{Key: agentPrefix + st.AgentID, Value: b})
-	}
-	for _, id := range removed {
-		batch = append(batch, store.KV{Key: agentPrefix + id, Delete: true})
-	}
-	return n.cfg.Store.PutBatch(batch)
+	_, err := n.persist.Flush()
+	return err
 }
+
+// Persister returns the node's agent-row persister, whose counters back
+// the verifier's persist stats in cluster mode.
+func (n *Node) Persister() *verifier.Persister { return n.persist }
 
 // Sweep runs one ownership-scoped attestation round and persists the
 // results. Call it on the verifier's poll cadence.

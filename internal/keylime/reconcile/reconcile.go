@@ -249,7 +249,7 @@ type Controller struct {
 	converged     bool
 	convergedAt   uint64 // ticks from apply to convergence
 
-	rng jitterRand
+	rng *simclock.Jitter
 }
 
 // New builds a Controller and recovers any journaled spec + managed set,
@@ -267,7 +267,7 @@ func New(cfg Config) (*Controller, error) {
 		tomb:    make(map[string]int),
 		items:   make(map[string]*itemState),
 		buckets: make(map[string]*bucket),
-		rng:     jitterRand{state: 0x9e3779b97f4a7c15},
+		rng:     simclock.NewJitter(0),
 	}
 	if err := c.recover(); err != nil {
 		return nil, err
@@ -841,26 +841,7 @@ func (c *Controller) logf(format string, args ...any) {
 	}
 }
 
-// jitterRand is a tiny xorshift64 source for backoff jitter — same idiom
-// as the verifier's registrar-retry jitter; crypto-quality randomness is
-// unnecessary for spreading retries.
-type jitterRand struct {
-	mu    sync.Mutex
-	state uint64
-}
-
-func (r *jitterRand) unit() float64 {
-	r.mu.Lock()
-	x := r.state
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	r.state = x
-	r.mu.Unlock()
-	return float64(x>>11) / float64(1<<53)
-}
-
 // jittered spreads d over [0.75d, 1.25d).
 func (c *Controller) jittered(d time.Duration) time.Duration {
-	return time.Duration(float64(d) * (0.75 + 0.5*c.rng.unit()))
+	return time.Duration(float64(d) * (0.75 + 0.5*c.rng.Unit()))
 }

@@ -455,13 +455,6 @@ func (j *Journal) writeAll(buf []byte) error {
 	return nil
 }
 
-// WriteFileAtomic durably replaces path with data via the atomic-replace
-// idiom: write path+".tmp", fsync, rename over path, fsync the directory.
-// A crash leaves either the old file or the new one, never a torn mix.
-func WriteFileAtomic(fsys FS, path string, data []byte) error {
-	return writeFileAtomic(fsys, path+".tmp", path, data)
-}
-
 // writeFileAtomic writes data to tmpPath, fsyncs it, renames it to path,
 // and fsyncs the containing directory — the atomic-replace idiom. On any
 // error the temp file is removed best-effort.

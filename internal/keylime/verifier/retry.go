@@ -95,40 +95,13 @@ func retryableComms(err error) bool {
 	return errors.As(err, &ce) && ce.retryable
 }
 
-// jitterRand is a mutex-guarded xorshift64 generator for backoff jitter.
-// Deterministic seeding keeps virtual-time tests reproducible; jitter only
-// needs to decorrelate, not to be unpredictable.
-type jitterRand struct {
-	mu    sync.Mutex
-	state uint64
-}
-
-func newJitterRand(seed uint64) *jitterRand {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &jitterRand{state: seed}
-}
-
-// unit returns a float in [0, 1).
-func (r *jitterRand) unit() float64 {
-	r.mu.Lock()
-	x := r.state
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	r.state = x
-	r.mu.Unlock()
-	return float64(x>>11) / (1 << 53)
-}
-
 // jittered spreads d over [d*(1-j/2), d*(1+j/2)).
 func (v *Verifier) jittered(d time.Duration) time.Duration {
 	j := v.retry.Jitter
 	if j <= 0 || d <= 0 {
 		return d
 	}
-	return time.Duration(float64(d) * (1 - j/2 + j*v.jitter.unit()))
+	return time.Duration(float64(d) * (1 - j/2 + j*v.jitter.Unit()))
 }
 
 // nextBackoff grows cur by the policy multiplier, capped at MaxBackoff.

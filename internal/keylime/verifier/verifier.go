@@ -456,7 +456,7 @@ type Verifier struct {
 	pollConcurrency   int
 	verifyWorkers     int
 	roundDeadline     time.Duration
-	jitter            *jitterRand
+	jitter            *simclock.Jitter
 	nonces            *nonceSource
 
 	agents *registry
@@ -529,7 +529,7 @@ func New(registrarURL string, opts ...Option) *Verifier {
 		breakerCfg:      BreakerConfig{}.withDefaults(),
 		pollConcurrency: defaultPollConcurrency(),
 		verifyWorkers:   runtime.GOMAXPROCS(0),
-		jitter:          newJitterRand(1),
+		jitter:          simclock.NewJitter(1),
 		agents:          newRegistry(),
 		dirty:           make(map[string]struct{}),
 		statsProviders:  make(map[string]func() any),
